@@ -40,6 +40,13 @@ type BootstrapResult struct {
 	BootstrapMS float64 `json:"bootstrap_ms"`
 	BootTotalMS float64 `json:"boot_total_ms"`
 
+	// Stage milliseconds of the best refresh rep, from the bootstrapper's
+	// stage hook; they sum to at most BootstrapMS.
+	ModRaiseMS    float64 `json:"modraise_ms"`
+	CoeffToSlotMS float64 `json:"coeff_to_slot_ms"`
+	EvalModMS     float64 `json:"evalmod_ms"`
+	SlotToCoeffMS float64 `json:"slot_to_coeff_ms"`
+
 	CompileMS    float64 `json:"compile_ms"`
 	RunMS        float64 `json:"run_ms"`
 	ImagesPerSec float64 `json:"images_per_sec"`
@@ -103,10 +110,15 @@ func BootstrapBench(layers, logN, window int, errBudget float64) (BootstrapResul
 	}
 
 	// Single-refresh microbenchmark: one ciphertext through the full
-	// ModRaise / CoeffToSlot / EvalMod / SlotToCoeff pipeline.
+	// ModRaise / CoeffToSlot / EvalMod / SlotToCoeff pipeline, split into
+	// those stages by the bootstrapper's stage hook.
 	bb, ok := hisa.AsBootstrap(raw)
 	if !ok {
 		return BootstrapResult{}, fmt.Errorf("bench: backend %s lost bootstrap capability", raw.Name())
+	}
+	sh, ok := hisa.FindCapability[stageHooker](raw)
+	if !ok {
+		return BootstrapResult{}, fmt.Errorf("bench: backend %s exposes no bootstrap stage hook", raw.Name())
 	}
 	vals := make([]float64, raw.Slots())
 	for i := range vals {
@@ -114,15 +126,21 @@ func BootstrapBench(layers, logN, window int, errBudget float64) (BootstrapResul
 	}
 	ct := raw.Encrypt(raw.Encode(vals, comp.Options.Scales.Pc))
 	bootMS := math.MaxFloat64
+	var stages, bestStages map[string]float64
+	sh.SetBootstrapStageHook(func(stage string, start, end time.Time) {
+		stages[stage] += float64(end.Sub(start).Nanoseconds()) / 1e6
+	})
 	for i := 0; i < 3; i++ {
+		stages = map[string]float64{}
 		s := time.Now()
 		out := bb.Bootstrap(ct)
 		e := float64(time.Since(s).Nanoseconds()) / 1e6
 		raw.Free(out)
 		if e < bootMS {
-			bootMS = e
+			bootMS, bestStages = e, stages
 		}
 	}
+	sh.SetBootstrapStageHook(nil)
 	raw.Free(ct)
 
 	start = time.Now()
@@ -157,6 +175,11 @@ func BootstrapBench(layers, logN, window int, errBudget float64) (BootstrapResul
 		BootstrapMS: bootMS,
 		BootTotalMS: bootMS * float64(len(p.Placements)),
 
+		ModRaiseMS:    bestStages["modraise"],
+		CoeffToSlotMS: bestStages["coeff-to-slot"],
+		EvalModMS:     bestStages["evalmod"],
+		SlotToCoeffMS: bestStages["slot-to-coeff"],
+
 		CompileMS:    compileMS,
 		RunMS:        runMS,
 		ImagesPerSec: 1e3 / runMS,
@@ -167,6 +190,12 @@ func BootstrapBench(layers, logN, window int, errBudget float64) (BootstrapResul
 	}
 	res.Pass = res.PlacementParity && maxErr <= errBudget
 	return res, nil
+}
+
+// stageHooker is the backend capability (RNSBackend) that observes the
+// interior stages of each bootstrap refresh.
+type stageHooker interface {
+	SetBootstrapStageHook(func(stage string, start, end time.Time))
 }
 
 // RenderBootstrap formats the bootstrapping experiment result.
@@ -180,6 +209,8 @@ func RenderBootstrap(r BootstrapResult) string {
 		r.Placements, r.RuntimeBootstraps, r.PlacementParity)
 	fmt.Fprintf(&sb, "refresh: %.1f ms/bootstrap isolated; the %.1f ms run amortizes its %d refreshes to <= %.1f ms each\n",
 		r.BootstrapMS, r.RunMS, r.Placements, r.AmortizedMS)
+	fmt.Fprintf(&sb, "stages: modraise %.1f ms, coeff-to-slot %.1f ms, evalmod %.1f ms, slot-to-coeff %.1f ms\n",
+		r.ModRaiseMS, r.CoeffToSlotMS, r.EvalModMS, r.SlotToCoeffMS)
 	fmt.Fprintf(&sb, "compile %.0f ms; throughput %.3f images/sec\n", r.CompileMS, r.ImagesPerSec)
 	fmt.Fprintf(&sb, "precision: max |encrypted - plaintext| = %.2e (budget %.0e) -> pass=%v\n",
 		r.MaxErr, r.ErrBudget, r.Pass)

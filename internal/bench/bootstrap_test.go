@@ -32,6 +32,22 @@ func TestBootstrapBenchSmoke(t *testing.T) {
 			t.Fatalf("%s not populated: %v", name, v)
 		}
 	}
+	stages := map[string]float64{
+		"modraise ms":      res.ModRaiseMS,
+		"coeff-to-slot ms": res.CoeffToSlotMS,
+		"evalmod ms":       res.EvalModMS,
+		"slot-to-coeff ms": res.SlotToCoeffMS,
+	}
+	sum := 0.0
+	for name, v := range stages {
+		if v <= 0 {
+			t.Fatalf("stage %s not populated: %v", name, v)
+		}
+		sum += v
+	}
+	if sum > res.BootstrapMS {
+		t.Fatalf("stage times sum to %.2f ms, more than the %.2f ms refresh", sum, res.BootstrapMS)
+	}
 	if res.BootTotalMS != res.BootstrapMS*float64(res.Placements) {
 		t.Fatalf("boot total inconsistent: %+v", res)
 	}

@@ -26,6 +26,7 @@ type Bootstrapper struct {
 	ev     *ckks.Evaluator
 	enc    *ckks.Encoder
 	approx *polyfit.Approximation
+	plan   psPlan
 	hook   atomic.Pointer[StageHook]
 
 	mu   sync.Mutex
@@ -87,6 +88,7 @@ func New(params *ckks.Parameters, spec Spec, ev *ckks.Evaluator, enc *ckks.Encod
 		ev:     ev,
 		enc:    enc,
 		approx: approx,
+		plan:   newPSPlan(spec.Degree),
 		mats:   map[matKey]*bsgsMatrix{},
 	}, nil
 }

@@ -109,6 +109,147 @@ func TestSpecDerivation(t *testing.T) {
 	}
 }
 
+// TestSpecOpsMatchPlan pins the EvalMod inventory the cost model prices to
+// the Paterson–Stockmeyer plan evalMod walks, and checks the plan's shape at
+// every degree DeriveSpec accepts.
+func TestSpecOpsMatchPlan(t *testing.T) {
+	spec, err := DeriveSpec(9, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per branch at degree 20 and r = 5: powers t², t³, t⁴, t⁸, t¹⁶ (5
+	// relinearized products), four giant products of which two close lazily
+	// into one shared relinearization each, 15 leaf terms plus c₂₀·t⁴ as
+	// scalar multiples, and the ladder's 5 squarings and doublings.
+	want := OpCounts{
+		Rotations:  spec.Ops().Rotations,
+		PlainMuls:  spec.Ops().PlainMuls,
+		CtMuls:     2 * (9 + 5),
+		Relins:     2 * (7 + 5),
+		ScalarMuls: 2 * (16 + 5),
+		Rescales:   2 + 2*(10+5),
+	}
+	if got := spec.Ops(); got != want {
+		t.Fatalf("Ops() = %+v, want %+v", got, want)
+	}
+
+	for degree := 8; degree <= 24; degree++ {
+		s, err := DeriveSpec(9, 8, degree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := newPSPlan(degree)
+		if plan.levels() > s.baseLevels() {
+			t.Errorf("degree %d: plan needs %d levels, spec reserves %d", degree, plan.levels(), s.baseLevels())
+		}
+		c := plan.counts()
+		if c.relins > c.muls || c.rescales < c.relins {
+			t.Errorf("degree %d: inconsistent counts %+v", degree, c)
+		}
+		// Every coefficient is read exactly once: as a leaf term or as a
+		// single-coefficient high part.
+		seen := make([]int, degree+1)
+		var walk func(blk *psBlock)
+		walk = func(blk *psBlock) {
+			if blk.leaf() {
+				for i := blk.lo; i <= blk.hi; i++ {
+					seen[i]++
+				}
+				return
+			}
+			walk(blk.low)
+			if blk.high == nil {
+				seen[blk.hi]++
+			} else {
+				walk(blk.high)
+			}
+		}
+		walk(plan.root)
+		for i, n := range seen {
+			if n != 1 {
+				t.Errorf("degree %d: coefficient %d read %d times", degree, i, n)
+			}
+		}
+	}
+}
+
+// TestEvalModPrecision: homomorphic EvalMod tracks RefEvalMod slotwise
+// within 1e-5 at sparse and full packing and at every degree New accepts,
+// consumes exactly Spec.EvalModLevels(), and starts the double-angle ladder
+// at Δ (up to float64 rounding) from a drifted input scale.
+func TestEvalModPrecision(t *testing.T) {
+	const logN, window = 9, 2
+	for _, logSlots := range []int{3, 8} {
+		// One key set serves every degree: the chain is laid out for the
+		// deepest spec, and EvalMod needs only the relinearization key.
+		deepest, err := DeriveSpec(logN, logSlots, 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		params, err := ckks.NewParameters(ckks.ParametersLiteral{
+			LogN:     logN,
+			LogQ:     deepest.ChainBits(window),
+			LogP:     60,
+			LogScale: deepest.PrimeBits,
+			LogSlots: logSlots,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prng := ring.NewTestPRNG(0xE7A1)
+		kgen := ckks.NewKeyGenerator(params, prng)
+		sk := kgen.GenSecretKey()
+		ev := ckks.NewEvaluator(params, kgen.GenRelinearizationKey(sk), nil)
+		enc := ckks.NewEncoder(params)
+		encr := ckks.NewEncryptor(params, kgen.GenPublicKey(sk), prng)
+		decr := ckks.NewDecryptor(params, sk)
+
+		values := randVec(params.Slots(), 1, 23)
+		level := params.MaxLevel() - 1 // where CoeffToSlot leaves t
+		scale := params.DefaultScale() * (1 + 3e-5)
+		ct := encr.Encrypt(enc.Encode(values, scale, level))
+		defaultAccepted := false
+		for degree := 8; degree <= 24; degree++ {
+			spec, err := DeriveSpec(logN, logSlots, degree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bt, err := New(params, spec, ev, enc)
+			if err != nil {
+				continue // the sine fit misses its budget at this degree
+			}
+			defaultAccepted = defaultAccepted || degree == DefaultDegree
+
+			base := bt.evalBase(ct)
+			if rel := math.Abs(base.Scale/params.DefaultScale() - 1); rel > 1e-12 {
+				t.Errorf("logSlots=%d degree=%d: ladder input scale off Δ by %g", logSlots, degree, rel)
+			}
+			out := bt.doubleAngles(base)
+			if want := ct.Lvl - spec.EvalModLevels(); out.Lvl != want {
+				t.Errorf("logSlots=%d degree=%d: output level %d, want %d", logSlots, degree, out.Lvl, want)
+			}
+			got := enc.Decode(decr.Decrypt(out))
+			worst := 0.0
+			for i, v := range values {
+				ref, err := bt.RefEvalMod(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				worst = math.Max(worst, math.Abs(got[i]-ref))
+			}
+			t.Logf("logSlots=%d degree=%d: max |EvalMod − RefEvalMod| = %.3g", logSlots, degree, worst)
+			if worst > 1e-5 {
+				t.Errorf("logSlots=%d degree=%d: EvalMod error %g exceeds 1e-5", logSlots, degree, worst)
+			}
+			ev.Recycle(out)
+		}
+		if !defaultAccepted {
+			t.Fatalf("logSlots=%d: New rejected the default degree %d", logSlots, DefaultDegree)
+		}
+		ev.Recycle(ct)
+	}
+}
+
 func TestRefEvalModMatchesSine(t *testing.T) {
 	ctx := newBootCtx(t, 9, 3, 2)
 	kHalf := float64(ctx.spec.K) + 0.5
@@ -180,6 +321,9 @@ func TestBootstrapIdentity(t *testing.T) {
 		{name: "sparse-narrow", logSlots: 3, window: 2},
 		{name: "sparse-wide", logSlots: 5, window: 2},
 		{name: "bigger-window", logSlots: 4, window: 4},
+		// The configuration the compiler ships: bootSpecFor always packs
+		// every slot (logSlots = logN−1).
+		{name: "full-packing", logSlots: 8, window: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := newBootCtx(t, 9, tc.logSlots, tc.window)

@@ -17,9 +17,10 @@
 //	            parts into two ciphertexts t with |t| ≤ 1.
 //	EvalMod   — removes q0·I: evaluates sin(2πu)/2π ≈ frac(u) at
 //	            u = (K+½)·t via a Chebyshev fit (internal/polyfit) of
-//	            cos((2π(K+½)t − π/2)/2^r) on [−1, 1] and r double-angle
-//	            squarings, so the polynomial degree stays within polyfit's
-//	            numerically safe range no matter how large K is.
+//	            cos((2π(K+½)t − π/2)/2^r) on [−1, 1], evaluated
+//	            baby-step/giant-step, and r double-angle squarings, so the
+//	            polynomial degree stays within polyfit's numerically safe
+//	            range no matter how large K is.
 //	SlotToCoeff — BSGS multiplication by β·U folding all pipeline constants
 //	            back out; the result decrypts slot-wise to the original
 //	            message at the original scale.
@@ -33,6 +34,7 @@ package boot
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 const (
@@ -138,8 +140,15 @@ func (s Spec) Slots() int { return 1 << s.LogSlots }
 func (s Spec) Gap() int { return (1 << (s.LogN - 1)) / s.Slots() }
 
 // EvalModLevels is the multiplicative depth of the q0-removal step: the
-// power basis, one combine rescale, and the double-angle squarings.
-func (s Spec) EvalModLevels() int { return ceilLog2(s.Degree) + 1 + s.DoubleAngles }
+// base polynomial's reservation and the double-angle squarings.
+func (s Spec) EvalModLevels() int { return s.baseLevels() + s.DoubleAngles }
+
+// baseLevels is the depth reserved for the base polynomial: ⌈log₂ d⌉+1,
+// what a power basis plus one combine rescale needs. The Paterson–Stockmeyer
+// plan fits inside it at every supported degree (⌈log₂(d+1)⌉ at d=20);
+// evalMod drops its input by the difference, so chain layouts and placements
+// do not depend on the evaluation strategy.
+func (s Spec) baseLevels() int { return ceilLog2(s.Degree) + 1 }
 
 // Depth is the total number of levels one bootstrap consumes: CoeffToSlot,
 // EvalMod, SlotToCoeff.
@@ -201,26 +210,163 @@ func (s Spec) RotationAmounts() []int {
 type OpCounts struct {
 	Rotations  int // key-switched automorphisms (baby+giant+trace+conjugate)
 	PlainMuls  int // BSGS diagonal multiplications
-	CtMuls     int // EvalMod ciphertext-ciphertext products (incl. squarings)
-	ScalarMuls int // EvalMod monomial-term scalings and double-angle doublings
+	CtMuls     int // EvalMod ciphertext-ciphertext tensor products (incl. squarings)
+	Relins     int // relinearization key switches closing those products
+	ScalarMuls int // EvalMod coefficient scalings and double-angle doublings
 	Rescales   int
 }
 
-// Ops returns the instruction counts of one bootstrap under this spec.
+// Ops returns the instruction counts of one bootstrap under this spec. The
+// EvalMod counts come from the same plan evalMod walks.
 func (s Spec) Ops() OpCounts {
 	slots := s.Slots()
 	n1, n2 := bsgsSplit(slots)
 	branches := 2
 	perMatmul := (n1 - 1) + (n2 - 1)
 	trace := log2i(s.Gap())
-	powMuls := s.Degree - 1
+	ps := newPSPlan(s.Degree).counts()
 	return OpCounts{
 		Rotations:  2*perMatmul + trace + 1,
 		PlainMuls:  2 * slots,
-		CtMuls:     branches * (powMuls + s.DoubleAngles),
-		ScalarMuls: branches * (s.Degree + s.DoubleAngles),
-		Rescales:   2 + branches*(powMuls+1+s.DoubleAngles),
+		CtMuls:     branches * (ps.muls + s.DoubleAngles),
+		Relins:     branches * (ps.relins + s.DoubleAngles),
+		ScalarMuls: branches * (ps.scalarMuls + s.DoubleAngles),
+		Rescales:   2 + branches*(ps.rescales+s.DoubleAngles),
 	}
+}
+
+// psBabyLog sizes the Paterson–Stockmeyer leaves: a leaf spans at most
+// 2^psBabyLog coefficients, c₀ + c₁t + c₂t² + c₃t³, over the baby powers.
+const psBabyLog = 2
+
+// psBlock is one node of the Paterson–Stockmeyer tree over the monomial
+// coefficients c[lo..hi]. A leaf is a linear combination of baby powers;
+// any other block is low(t) + t^(2^giant)·high(t).
+type psBlock struct {
+	lo, hi    int
+	giant     int      // 0 for a leaf
+	low, high *psBlock // high == nil: the high part is the single coefficient c[hi]
+}
+
+func (blk *psBlock) leaf() bool { return blk.giant == 0 }
+
+// newPSBlock splits c[lo..hi] (hi−lo < 2^m) at the largest giant step that
+// leaves a non-empty high part.
+func newPSBlock(lo, hi, m int) *psBlock {
+	for m > psBabyLog && hi < lo+1<<(m-1) {
+		m--
+	}
+	if m <= psBabyLog {
+		return &psBlock{lo: lo, hi: hi}
+	}
+	mid := lo + 1<<(m-1)
+	blk := &psBlock{lo: lo, hi: hi, giant: m - 1, low: newPSBlock(lo, mid-1, m-1)}
+	if hi > mid {
+		blk.high = newPSBlock(mid, hi, m-1)
+	}
+	return blk
+}
+
+// need is the depth below the plan's entry level at which blk can be
+// summed: a leaf waits for its highest baby power, a product for its giant
+// power and for its high part's rescale.
+func (blk *psBlock) need() int {
+	if blk.leaf() {
+		return ceilLog2(blk.hi - blk.lo)
+	}
+	n := max(blk.low.need(), blk.giant)
+	if blk.high != nil {
+		n = max(n, blk.high.need()+1)
+	}
+	return n
+}
+
+// lazy reports whether blk sums products that still await relinearization.
+func (blk *psBlock) lazy() bool {
+	return !blk.leaf() && (blk.high != nil || blk.low.lazy())
+}
+
+// psPlan is the baby-step/giant-step evaluation of a degree-d polynomial.
+type psPlan struct {
+	root *psBlock
+}
+
+func newPSPlan(degree int) psPlan {
+	return psPlan{root: newPSBlock(0, degree, ceilLog2(degree+1))}
+}
+
+// levels is the depth the plan consumes: the root's need plus its rescale.
+func (p psPlan) levels() int { return p.root.need() + 1 }
+
+// powers lists, ascending, every power of t above t¹ the plan reads. Each
+// is built as t^⌈k/2⌉·t^⌊k/2⌋, so the list is closed under those halves.
+func (p psPlan) powers() []int {
+	used := map[int]bool{}
+	var mark func(k int)
+	mark = func(k int) {
+		if k > 1 && !used[k] {
+			used[k] = true
+			mark((k + 1) / 2)
+			mark(k / 2)
+		}
+	}
+	var walk func(blk *psBlock)
+	walk = func(blk *psBlock) {
+		if blk.leaf() {
+			mark(blk.hi - blk.lo)
+			return
+		}
+		mark(1 << blk.giant)
+		walk(blk.low)
+		if blk.high != nil {
+			walk(blk.high)
+		}
+	}
+	walk(p.root)
+	out := make([]int, 0, len(used))
+	for k := range used {
+		out = append(out, k)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// psCounts is the per-branch instruction inventory of a plan.
+type psCounts struct {
+	muls, relins, rescales, scalarMuls int
+}
+
+// counts tallies what evalBase executes: one relinearized, rescaled product
+// per power; per block, a scalar multiple per leaf term or single-coefficient
+// high part, a tensor product per multi-coefficient high part, and a close
+// (relinearize if lazy, then rescale) of every such high part and the root.
+func (p psPlan) counts() psCounts {
+	nPow := len(p.powers())
+	c := psCounts{muls: nPow, relins: nPow, rescales: nPow}
+	closeBlock := func(blk *psBlock) {
+		c.rescales++
+		if blk.lazy() {
+			c.relins++
+		}
+	}
+	var walk func(blk *psBlock)
+	walk = func(blk *psBlock) {
+		if blk.leaf() {
+			c.scalarMuls += blk.hi - blk.lo
+			return
+		}
+		walk(blk.low)
+		if blk.high == nil {
+			c.scalarMuls++
+			return
+		}
+		walk(blk.high)
+		closeBlock(blk.high)
+		c.muls++
+	}
+	walk(p.root)
+	closeBlock(p.root)
+	return c
 }
 
 func ceilLog2(x int) int {

@@ -46,6 +46,17 @@ import (
 // rescale corrections ride along with transforms the key switch performs
 // anyway. ct is not mutated. Degree-1 inputs skip the key switch and are
 // only rescaled. Panics at level 0.
+//
+// Being bit-identical to rescale-then-relinearize does not make it as
+// precise as relinearize-then-rescale. In this order the key switch runs
+// after the division by q, so its noise (the P-rounding and digit
+// decomposition error) lands at the output scale instead of being divided
+// by q with the rest of the ciphertext. For one product that is small;
+// along a chain of squarings it compounds. Bootstrapping's EvalMod at
+// logN=9 and full packing measured 2.6e-6 against RefEvalMod with every
+// product closed as Relinearize then Rescale, and 8.4e-5 with every product
+// closed here. Precision-critical chains should relinearize before
+// rescaling.
 func (ev *Evaluator) RelinearizeRescale(ct *Ciphertext) *Ciphertext {
 	level := ct.Lvl
 	if level == 0 {

@@ -113,12 +113,16 @@ func (c *Compiled) bootConfig() *BootConfig {
 
 // bootCost prices one bootstrap's instruction inventory under the cost
 // model at the full-chain modulus state — a conservative upper bound, since
-// the pipeline starts at the top of the chain and descends.
+// the pipeline starts at the top of the chain and descends. A relinearized
+// product costs a CtMul; a product summed into a shared relinearization
+// costs only its tensor, four coefficient-wise products where a PlainMul
+// does two.
 func bootCost(spec boot.Spec, m CostModel, n float64, st state) float64 {
 	ops := spec.Ops()
 	return float64(ops.Rotations)*m.Rotate(n, st) +
 		float64(ops.PlainMuls)*m.PlainMul(n, st) +
-		float64(ops.CtMuls)*m.CtMul(n, st) +
+		float64(ops.Relins)*m.CtMul(n, st) +
+		float64(2*(ops.CtMuls-ops.Relins))*m.PlainMul(n, st) +
 		float64(ops.ScalarMuls)*m.ScalarMul(n, st) +
 		float64(ops.Rescales)*m.Rescale(n, st)
 }
